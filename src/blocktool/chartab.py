@@ -5,20 +5,36 @@ simultaneous diagonalization of the class-sum matrices, and the entries are
 lifted back to exact cyclotomic numbers by Fourier inversion over the
 eigenvalues of each class representative. Everything downstream (blocks,
 trees, weights) consumes the exact lifted values only.
+
+The splitting follows Schneider (J. Symbolic Comput. 9, 1990):
+
+* a class matrix A_i is built only while some common eigenspace is still
+  unsplit, taking the classes in order of increasing size, from the
+  members of K_i against the k class representatives (never all of G);
+* the eigenvalues of A_i on a space are the roots in F_l of the
+  characteristic polynomial of its restriction (Hessenberg form, then
+  gcd with x^l - x), so a kernel is computed only at actual eigenvalues.
+
+Validation stays exact and checks both orthogonality relations for every
+pair of rows and of columns, plus the degree sum and degree divisibility.
+It lifts every value once to integer coordinates in Z[x]/(x^e - 1) and
+accepts a sum only if Phi_e divides its difference from the expected
+integer; no cyclotomic number is built or normalized per product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
-from .arith import is_prime, prime_factors, primitive_root
-from .cyclo import CycNum
+from .arith import euler_phi, is_prime, prime_factors, primitive_root
+from .cyclo import CycNum, _ff_poly_gcd, _ff_poly_powmod, _power_table
 from .errors import InternalInconsistency, InvalidInput, NotASubgroup
 from .permcore import (
     CosetAction,
     PermGroup,
     SubgroupHandle,
+    class_members,
     class_of,
     conjugacy_classes,
 )
@@ -113,32 +129,25 @@ def _choose_modulus(m: int, order: int) -> int:
 def _dixon_schneider(G: PermGroup, classes, exponent: int) -> CharacterTable:
     k = len(classes)
     order = G.order()
-    els = G.elements()
-    cls_of = {x.images: class_of(G, x) for x in els}
+    cls_of = G._class_of
     reps = [c.representative for c in classes]
-
-    # class-sum structure constants: A[i][j][l] = #{(x,y) in K_i x K_j : xy = z_l}
-    A = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for l, z in enumerate(reps):
-        for x in els:
-            i = cls_of[x.images]
-            j = cls_of[(x.inverse() * z).images]
-            A[i][j][l] += 1
-
     ell = _choose_modulus(exponent, order)
 
-    # split F_l^k into common eigenspaces of the commuting matrices A_i
+    # split F_l^k into common eigenspaces of the commuting class matrices A_i,
+    # building each A_i only while some space is still unsplit; small classes
+    # are the cheapest, and the identity class (A_0 = I) splits nothing
     spaces = [_echelon([tuple(int(r == c) for c in range(k)) for r in range(k)], ell)]
-    for i in range(k):
+    for i in sorted(range(1, k), key=lambda i: classes[i].size):
+        if all(len(s[0]) == 1 for s in spaces):
+            break
+        A = _class_matrix(G, i, reps)
         new_spaces = []
         for space in spaces:
             if len(space[0]) == 1:
                 new_spaces.append(space)
                 continue
-            new_spaces.extend(_split_space(space, A[i], ell))
+            new_spaces.extend(_split_space(space, A, ell))
         spaces = new_spaces
-        if all(len(s[0]) == 1 for s in spaces):
-            break
     if len(spaces) != k:
         raise InternalInconsistency("eigenspace splitting did not separate all characters")
 
@@ -179,29 +188,93 @@ def _dixon_schneider(G: PermGroup, classes, exponent: int) -> CharacterTable:
     return CharacterTable(G, classes, exponent, power_maps, rows)
 
 
+def _class_matrix(G: PermGroup, i: int, reps):
+    """A_i[j][l] = #{x in K_i : x^-1 z_l in K_j}, from the members of K_i only.
+
+    K_i K_j = sum_l A_i[j][l] K_l, so the central character omega of each
+    irreducible is a common eigenvector: A_i omega = omega(K_i) omega.
+    """
+    k = len(reps)
+    cls_of = G._class_of
+    A = [[0] * k for _ in range(k)]
+    for x in class_members(G, i):
+        xinv = x.inverse()
+        for l, z in enumerate(reps):
+            A[cls_of[(xinv * z).images]][l] += 1
+    return A
+
+
 def _validate_table(T: CharacterTable):
-    """Both orthogonality relations, degree sum, counts; exact arithmetic."""
+    """Both orthogonality relations for every pair, degree sum, counts; exact.
+
+    Each value is lifted once to integer (or, for an invalid table, rational)
+    coordinates in Z[x]/(x^e - 1), e the lcm of the exponent and all value
+    conductors. A sum of products is accumulated there, and it equals an
+    integer n in Q(zeta_e) exactly when Phi_e divides (sum - n), because
+    Z[x]/(x^e - 1) -> Q(zeta_e) is a ring map.
+    """
     k = T.k
     if len(T.characters) != k:
         raise InternalInconsistency("character count differs from class count")
     if sum(T.degree(i) ** 2 for i in range(T.k)) != T.order:
         raise InternalInconsistency("degree squares do not sum to |G|")
+    if not (isinstance(T.exponent, int) and T.exponent > 0):
+        raise InternalInconsistency("table exponent is not a positive integer")
+    e = lcm(T.exponent, *(v.m for row in T.characters for v in row))
+    lifted = [[_lift_coords(v, e) for v in row] for row in T.characters]
+    sizes = [c.size for c in T.classes]
     for i in range(k):
         if T.order % T.degree(i) != 0:
             raise InternalInconsistency("character degree does not divide |G|")
         for j in range(i, k):
-            expect = CycNum.one() if i == j else CycNum.zero()
-            if T.inner(i, j) != expect:
+            total = _sum_times_conjugates(lifted[i], lifted[j], sizes, e)
+            if not _equals_integer(total, T.order if i == j else 0, e):
                 raise InternalInconsistency(f"row orthogonality fails at ({i}, {j})")
+    columns = list(zip(*lifted))
+    ones = [1] * k
     for a in range(k):
         for b in range(a, k):
-            total = CycNum.zero()
-            for i in range(k):
-                total = total + T.value(i, a) * T.value(i, b).conjugate()
+            total = _sum_times_conjugates(columns[a], columns[b], ones, e)
             centralizer_order = T.order // T.classes[a].size
-            expect = CycNum.rational(centralizer_order if a == b else 0)
-            if total != expect:
+            if not _equals_integer(total, centralizer_order if a == b else 0, e):
                 raise InternalInconsistency(f"column orthogonality fails at ({a}, {b})")
+
+
+def _lift_coords(v: CycNum, e: int):
+    """(exponent of zeta_e, coefficient) pairs of v; integral coefficients as int."""
+    step = e // v.m
+    return tuple((t * step, c.numerator if c.denominator == 1 else c) for t, c in v.terms)
+
+
+def _sum_times_conjugates(xs, ys, weights, e: int) -> dict:
+    """sum_l weights[l] * xs[l] * conj(ys[l]) in Z[x]/(x^e - 1), as exponent -> coefficient."""
+    total: dict = {}
+    for x, y, w in zip(xs, ys, weights):
+        for s, c in x:
+            for t, d in y:
+                key = (s - t) % e
+                total[key] = total.get(key, 0) + w * c * d
+    return total
+
+
+def _equals_integer(poly: dict, n: int, e: int) -> bool:
+    """True iff Phi_e divides poly(x) - n, i.e. poly(zeta_e) = n."""
+    diff = dict(poly)
+    diff[0] = diff.get(0, 0) - n
+    support = [t for t, c in diff.items() if c]
+    if not support:
+        return True
+    # diff(x) = Q(x^step) with zeta_e^step a primitive m-th root: reduce Q mod Phi_m
+    step = gcd(e, *support)
+    m = e // step
+    table = _power_table(m)
+    coords = [0] * euler_phi(m)
+    for t in support:
+        c = diff[t]
+        for idx, r in enumerate(table[t // step]):
+            if r:
+                coords[idx] += c * r
+    return not any(coords)
 
 
 # -- F_l linear algebra -------------------------------------------------------
@@ -282,17 +355,20 @@ def _kernel(M, ell):
 
 
 def _split_space(space, A, ell):
+    """Eigenspaces of A on an A-invariant space, in increasing eigenvalue order.
+
+    Eigenvalues are the roots in F_l of the characteristic polynomial of A
+    restricted to the space; only those get a kernel computation.
+    """
     rows, _pivots = space
     d = len(rows)
     imgs = [_coords_in(space, _matvec(A, b, ell), ell) for b in rows]
     M = [[imgs[r][s] for r in range(d)] for s in range(d)]
     out = []
     total = 0
-    for lam in range(ell):
+    for lam in _roots_mod(_charpoly(M, ell), ell):
         shifted = [[(M[s][r] - (lam if s == r else 0)) % ell for r in range(d)] for s in range(d)]
         ker = _kernel(shifted, ell)
-        if not ker:
-            continue
         vecs = []
         for coeffs in ker:
             v = [0] * len(rows[0])
@@ -302,11 +378,94 @@ def _split_space(space, A, ell):
             vecs.append(tuple(v))
         out.append(_echelon(vecs, ell))
         total += len(ker)
-        if total == d:
-            break
     if total != d:
         raise InternalInconsistency("class-sum matrix is not diagonalizable mod l")
     return out
+
+
+def _charpoly(M, ell):
+    """det(x I - M) over F_l, ascending coefficients, via Hessenberg reduction."""
+    n = len(M)
+    H = [list(row) for row in M]
+    # similarity transforms to upper Hessenberg form (Cohen, GTM 138, 2.2.9)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[piv], H[m] = H[m], H[piv]
+            for row in H:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(H[m][m - 1], -1, ell)
+        for i in range(m + 1, n):
+            f = H[i][m - 1] * inv % ell
+            if f:
+                H[i] = [(a - f * b) % ell for a, b in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = (row[m] + f * row[i]) % ell
+    # p_i = det(x I - H[:i, :i]);
+    # p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im (h_{i+1,i} h_{i+2,i+1} ... h_{m,m-1}) p_i
+    polys = [[1]]
+    for m in range(n):
+        p = [0] + polys[m]
+        for t, c in enumerate(polys[m]):
+            p[t] = (p[t] - H[m][m] * c) % ell
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * H[i + 1][i] % ell
+            f = H[i][m] * sub % ell
+            if f:
+                for t, c in enumerate(polys[i]):
+                    p[t] = (p[t] - f * c) % ell
+        polys.append(p)
+    return polys[n]
+
+
+def _roots_mod(f, ell):
+    """Distinct roots, sorted, in F_l (l an odd prime) of a monic polynomial.
+
+    Coefficients are ascending. g = gcd(f, x^l - x) is the product of the
+    distinct linear factors of f. Each factor of g of degree > 1 is split
+    by its gcd with (x + a)^((l-1)/2) - 1, whose roots are the r with r + a
+    a nonzero square, trying a = 0, 1, 2, ... until the split is proper.
+    """
+    frob = list(_ff_poly_powmod((0, 1), ell, f, ell)) + [0, 0]  # pad: f may be linear
+    frob[1] -= 1
+    pending = [_monic_gcd(f, frob, ell)]
+    roots = []
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % ell)
+        if len(g) <= 2:
+            continue
+        for a in range(ell):
+            half = list(_ff_poly_powmod((a, 1), (ell - 1) // 2, g, ell))
+            half[0] -= 1
+            h = _monic_gcd(g, half, ell)
+            if 1 < len(h) < len(g):
+                pending.extend((h, _poly_quotient(g, h, ell)))
+                break
+    return sorted(roots)
+
+
+def _monic_gcd(a, b, ell):
+    g = _ff_poly_gcd(a, b, ell)
+    inv = pow(g[-1], -1, ell)
+    return [c * inv % ell for c in g]
+
+
+def _poly_quotient(num, den, ell):
+    """num / den over F_l, for a monic den that divides num."""
+    num = list(num)
+    dd = len(den) - 1
+    q = [0] * (len(num) - dd)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = num[i + dd]
+        if c:
+            for j, dj in enumerate(den):
+                num[i + j] = (num[i + j] - c * dj) % ell
+    return q
 
 
 # -- fusion / restriction -------------------------------------------------------

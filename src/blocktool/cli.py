@@ -13,6 +13,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from .arith import is_prime
 from .blocks import block_partition, defect_group
 from .chartab import character_table
 from .errors import BlocktoolError, InvalidInput
@@ -41,6 +42,13 @@ def _emit(payload: str, out_path):
 def _fail(code: str, message: str) -> int:
     sys.stderr.write(canonical_json({"error": code, "message": message}))
     return 2
+
+
+def _require_prime(p):
+    """p itself, if it is an integer prime; InvalidInput otherwise."""
+    if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
+        raise InvalidInput(f"p = {p!r} is not a prime")
+    return p
 
 
 def _analyze_report(name, G, p, max_order):
@@ -80,6 +88,7 @@ def _render_analyze_text(report) -> str:
 
 
 def cmd_analyze(args) -> int:
+    _require_prime(args.prime)
     name, G = read_group_file(args.group)
     report = _analyze_report(name, G, args.prime, args.max_order)
     payload = _render_analyze_text(report) if args.text else canonical_json(report)
@@ -88,6 +97,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    _require_prime(args.prime)
     name, G = read_group_file(args.group)
     report = full_group_report(G, args.prime, name=name, checks=(), max_order=args.max_order)
     blocks = report["blocks"]
@@ -130,6 +140,7 @@ def _load_autos(path):
 
 
 def cmd_verify(args) -> int:
+    _require_prime(args.prime)
     name, G = read_group_file(args.group)
     checks = _parse_checks(args.checks)
     autos = _load_autos(args.autos)
@@ -190,7 +201,7 @@ def cmd_corpus(args) -> int:
         if not group_file.exists():
             raise InvalidInput(f"manifest references a missing file: {group_file}")
         for p in entry["primes"]:
-            jobs.append((str(group_file), int(p), checks, args.max_order))
+            jobs.append((str(group_file), _require_prime(p), checks, args.max_order))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_corpus_entry, jobs))

@@ -309,16 +309,24 @@ def full_subgroup(G: PermGroup) -> SubgroupHandle:
 
 
 def subgroup_from_elements(G: PermGroup, elements) -> SubgroupHandle:
-    """Subgroup handle with a reduced generating set drawn from `elements`."""
+    """Subgroup handle with a reduced generating set drawn from `elements`.
+
+    `elements` is the full element list of a subgroup, so the greedy scan
+    stops as soon as the generated group has that many elements: every
+    later element already lies in it and would add no generator.
+    """
+    elements = sorted(elements)
     gens: list[Permutation] = []
     H = PermGroup(G.degree, [])
-    for x in sorted(elements):
+    for x in elements:
         if isinstance(x, tuple):
             x = Permutation(x)
         if x.is_identity() or x in H:
             continue
         gens.append(x)
         H = PermGroup(G.degree, gens)
+        if H.order() == len(elements):
+            break
     return SubgroupHandle(G, gens, check=False)
 
 

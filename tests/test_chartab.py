@@ -5,10 +5,16 @@ characters and induce); it is frozen here as literal rows and compared as a
 set against the computed table.
 """
 
+from math import factorial
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocktool.cyclo import CycNum
 from blocktool.chartab import (
+    _charpoly,
+    _kernel,
+    _roots_mod,
     character_table,
     class_fusion,
     ingest_table,
@@ -193,3 +199,91 @@ def test_ingest_rejects_invalid_table(s3_table):
     with pytest.raises(InvalidInput):
         ingest_table(s3_table.group, s3_table.classes, s3_table.exponent,
                      s3_table.power_maps, bad_rows)
+
+
+def _ingest_with(T, i, j, value):
+    rows = [list(row) for row in T.characters]
+    rows[i][j] = value
+    return ingest_table(T.group, T.classes, T.exponent, T.power_maps, rows)
+
+
+def test_ingest_rejects_changed_zeta5_coefficient(a5_table):
+    T = a5_table
+    i, j = next((i, j) for i in range(T.k) for j in range(T.k) if T.value(i, j).m == 5)
+    v = T.value(i, j)
+    (k0, c0), *rest = v.terms
+    tampered = CycNum(5, dict([(k0, c0 + 1)] + rest))
+    assert tampered != v
+    with pytest.raises(InvalidInput):
+        _ingest_with(T, i, j, tampered)
+
+
+def test_ingest_rejects_conjugated_psl27_entry(corpus):
+    T = character_table(corpus["psl27"])
+    i, j = next((i, j) for i in range(T.k) for j in range(T.k) if T.value(i, j).m == 7)
+    v = T.value(i, j)
+    assert v.conjugate() != v
+    with pytest.raises(InvalidInput):
+        _ingest_with(T, i, j, v.conjugate())
+
+
+@pytest.mark.parametrize("exponent", [0, -30])
+def test_ingest_rejects_non_positive_exponent(a5_table, exponent):
+    T = a5_table
+    with pytest.raises(InvalidInput):
+        ingest_table(T.group, T.classes, exponent, T.power_maps, T.characters)
+
+
+# -- independent oracles for the table path ---------------------------------------
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _hook_length_degree(shape):
+    n = sum(shape)
+    conj = [sum(1 for r in shape if r > c) for c in range(shape[0])]
+    hooks = 1
+    for r, row in enumerate(shape):
+        for c in range(row):
+            hooks *= (row - c - 1) + (conj[c] - r - 1) + 1
+    return factorial(n) // hooks
+
+
+def test_s8_degrees_match_hook_length_formula():
+    shapes = list(_partitions(8))
+    assert len(shapes) == 22
+    S8 = PermGroup(8, [Permutation.from_one_based([2, 3, 4, 5, 6, 7, 8, 1]),
+                       Permutation.from_one_based([2, 1, 3, 4, 5, 6, 7, 8])])
+    T = character_table(S8)
+    assert sorted(T.degrees) == sorted(_hook_length_degree(s) for s in shapes)
+
+
+@st.composite
+def _square_matrices_mod_small_primes(draw):
+    ell = draw(st.sampled_from([3, 5, 7, 11, 13]))  # l = 1 mod exponent is odd
+    d = draw(st.integers(1, 5))
+    entries = st.integers(0, ell - 1)
+    if draw(st.booleans()):
+        # few distinct entries give repeated and split eigenvalues more often
+        entries = st.sampled_from([0, 1, ell - 1])
+    rows = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+    return ell, rows
+
+
+@given(_square_matrices_mod_small_primes())
+@settings(max_examples=200, deadline=None)
+def test_charpoly_roots_match_kernel_scan(case):
+    ell, M = case
+    d = len(M)
+    scanned = [lam for lam in range(ell)
+               if _kernel([[(M[s][r] - (lam if s == r else 0)) % ell for r in range(d)]
+                           for s in range(d)], ell)]
+    assert _roots_mod(_charpoly(M, ell), ell) == scanned

@@ -274,3 +274,52 @@ def test_extra_group_files_load():
     assert name == "M11" and G.order() == 7920
     name, G = read_group_file(group_path("psl211"))
     assert name == "PSL(2,11)" and G.order() == 660
+
+
+# -- the prime at the boundary -------------------------------------------------------------
+
+
+def run_subprocess(*argv, timeout=60):
+    """The CLI in a fresh interpreter: a hang fails the test instead of stalling the suite."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import blocktool
+
+    src = str(Path(blocktool.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "blocktool.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_invalid_input(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize("prime", ["1", "0", "-5", "6", "4"])
+def test_analyze_rejects_non_prime(prime):
+    # 1 used to hang, 0 to crash, -5 and 6 to claim an internal inconsistency,
+    # and 4 to report not-coprime
+    assert_invalid_input(*run_subprocess("analyze", str(group_path("s3")), "--prime", prime))
+
+
+@pytest.mark.parametrize("command", [("tree", "--block", "0"), ("verify",)])
+def test_tree_and_verify_reject_non_prime(command):
+    assert_invalid_input(*run_subprocess(command[0], str(group_path("s3")), "--prime", "1",
+                                         *command[1:]))
+
+
+def test_corpus_rejects_non_prime_manifest_entry(tmp_path):
+    import shutil
+
+    shutil.copy(group_path("s3"), tmp_path / "s3.json")
+    bad = tmp_path / "manifest.json"
+    bad.write_text(canonical_json({"schema": 1, "entries": [
+        {"group": "s3.json", "primes": [2, 1]}]}))
+    assert_invalid_input(*run_subprocess("corpus", str(bad)))

@@ -18,6 +18,7 @@ from blocktool.permcore import (
     group_order,
     normalizer,
     radical_p_subgroups,
+    subgroup_from_elements,
     sylow_subgroup,
     trivial_subgroup,
 )
@@ -366,3 +367,40 @@ def test_element_order_divides_group_order(a5, s3, d10):
     for G in (a5, s3, d10):
         for x in G.elements():
             assert G.order() % x.order() == 0
+
+
+def _greedy_generators_full_scan(G, elements):
+    """The greedy generator scan over every element, with no early exit."""
+    gens = []
+    H = PermGroup(G.degree, [])
+    for x in sorted(elements):
+        if x.is_identity() or x in H:
+            continue
+        gens.append(x)
+        H = PermGroup(G.degree, gens)
+    return tuple(sorted(gens))
+
+
+def test_subgroup_from_elements_early_exit_keeps_generators(corpus):
+    # centralizers of class representatives and normalizers of Sylow and
+    # cyclic subgroups, as element lists built straight from the definitions
+    checked = 0
+    for key in ("s3", "a4", "s4", "d10", "sl23", "a5", "psl27"):
+        G = corpus[key]
+        els = G.elements()
+        subgroups = [sylow_subgroup(G, p) for p in (2, 3, 5, 7) if G.order() % p == 0]
+        for c in conjugacy_classes(G):
+            x = c.representative
+            members = [g for g in els if g * x == x * g]
+            assert subgroup_from_elements(G, members).generators == \
+                _greedy_generators_full_scan(G, members)
+            subgroups.append(SubgroupHandle(G, [x]))
+            checked += 1
+        for Q in subgroups:
+            qset = Q.element_set()
+            members = [g for g in els
+                       if all((g.inverse() * s * g).images in qset for s in Q.generators)]
+            assert subgroup_from_elements(G, members).generators == \
+                _greedy_generators_full_scan(G, members)
+            checked += 1
+    assert checked > 50
