@@ -1,20 +1,41 @@
-"""Small exact number-theory helpers (trial division scale)."""
+"""Small exact number-theory helpers (trial division scale, except is_prime)."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
-from .errors import NotCoprime
+from .errors import InvalidInput, NotCoprime
+
+#: Miller-Rabin with the first 13 primes as bases decides primality exactly
+#: below this bound (Sorenson and Webster, Math. Comp. 86, 2017). Base 41 is
+#: needed: 318665857834031151167461 is a strong pseudoprime to bases 2..37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; InvalidInput where its bases are not proven exact."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_EXACT_BELOW:
+        raise InvalidInput(f"{n} is beyond the deterministic primality bound {_MR_EXACT_BELOW}")
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1 if d == 2 else 2
     return True
 
 
@@ -74,8 +95,6 @@ def euler_phi(n: int) -> int:
 
 def multiplicative_order(a: int, n: int) -> int:
     """Least d >= 1 with a^d == 1 (mod n); requires gcd(a, n) == 1."""
-    from math import gcd
-
     a %= n
     if gcd(a, n) != 1:
         raise NotCoprime(f"{a} is not invertible modulo {n}")

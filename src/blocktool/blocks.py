@@ -1,15 +1,21 @@
 """p-block decomposition and the Brauer correspondence at counting level.
 
 Blocks are the fibers of chi -> lambda_chi, the reduced central character:
-lambda_chi(K) = (|K| chi(x_K) / chi(1))*. All reductions inside one
-analysis session share a single StarReduction context keyed by the ambient
-group's exponent, so lambda values of subgroup and quotient blocks are
-directly comparable to those of the ambient group (this is what makes
-b^G computable by summing lambda over fused classes).
+lambda_chi(K) = (|K| chi(x_K) / chi(1))*. All reductions for one group
+share the StarReduction context of the partition of its table, keyed by
+the ambient group's exponent, so lambda values of subgroup and quotient
+blocks are directly comparable to those of the ambient group (this is what
+makes b^G computable by summing lambda over fused classes).
+
+Derived data lives with its owner: subgroups in the ambient group's
+registry (permcore), a group's table on the group, a table's partitions on
+the table, and a block's local analysis (defect group, inertial index,
+cyclic data, Brauer correspondent, weights) in the block's @memoized _memo.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .arith import v_p
@@ -31,10 +37,28 @@ from .permcore import (
     SubgroupHandle,
     centralizer,
     class_of,
+    conjugacy_classes,
     coset_action,
     sylow_subgroup,
     trivial_subgroup,
 )
+
+
+def memoized(fn):
+    """Cache fn(owner, ...) in owner._memo, keyed by fn's name and every argument.
+
+    Arguments are keyed as passed: f(B) and f(B, None) are separate entries.
+    A call that raises caches nothing, so it raises again when repeated.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(owner, *args, **kwargs):
+        key = (fn.__name__, args, tuple(sorted(kwargs.items())))
+        if key not in owner._memo:
+            owner._memo[key] = fn(owner, *args, **kwargs)
+        return owner._memo[key]
+
+    return wrapper
 
 
 def central_character(T: CharacterTable, chi_index: int, class_index: int) -> CycNum:
@@ -58,7 +82,7 @@ class Block:
         T = partition.table
         p = partition.p
         self.defect = v_p(T.order, p) - min(v_p(T.degree(i), p) for i in self.char_indices)
-        self._defect_group = None
+        self._memo = {}
 
     @property
     def table(self) -> CharacterTable:
@@ -95,6 +119,7 @@ class BlockPartition:
         self.table = table
         self.p = p
         self.star = star
+        self._memo = {}
         self.blocks = tuple(
             Block(self, i, chars, lam) for i, (chars, lam) in enumerate(blocks_data))
 
@@ -130,12 +155,9 @@ def block_partition(T: CharacterTable, p: int, star: StarReduction | None = None
         star = star_reduction(p, T.exponent)
     if star.m % T.exponent != 0 or star.p != p:
         raise InternalInconsistency("star context does not cover the table exponent")
-    cache = getattr(T, "_partitions", None)
-    if cache is None:
-        cache = T._partitions = {}
     key = (p, star.m)
-    if key in cache:
-        return cache[key]
+    if key in T._partitions:
+        return T._partitions[key]
     lam_by_char = []
     for i in range(T.k):
         lam = tuple(star.reduce(central_character(T, i, j)) for j in range(T.k))
@@ -148,10 +170,11 @@ def block_partition(T: CharacterTable, p: int, star: StarReduction | None = None
     partition = BlockPartition(T, p, star, blocks_data)
     if sum(b.size() for b in partition) != T.k:
         raise InternalInconsistency("blocks do not partition Irr(G)")
-    cache[key] = partition
+    T._partitions[key] = partition
     return partition
 
 
+@memoized
 def defect_group(B: Block) -> SubgroupHandle:
     """A defect group: Sylow_p of the centralizer of a minimal defect class.
 
@@ -159,14 +182,10 @@ def defect_group(B: Block) -> SubgroupHandle:
     those where lambda_B does not vanish; the order is cross-checked
     against the degree-theoretic defect.
     """
-    if B._defect_group is not None:
-        return B._defect_group
     T, p = B.table, B.p
     G = T.group
     if B.defect == 0:
-        D = trivial_subgroup(G)
-        B._defect_group = D
-        return D
+        return trivial_subgroup(G)
     candidates = [j for j in range(T.k) if not B.lambda_star[j].is_zero()]
     if not candidates:
         raise InternalInconsistency("lambda_B vanishes everywhere")
@@ -179,7 +198,6 @@ def defect_group(B: Block) -> SubgroupHandle:
     if D.order != p ** B.defect:
         raise InternalInconsistency(
             f"defect-class computation gives |D| = {D.order}, expected p^{B.defect}")
-    B._defect_group = D
     return D
 
 
@@ -206,8 +224,6 @@ def brauer_induced_block(b: Block, fusion: ClassFusion, target: BlockPartition) 
     source = fusion.subgroup.group
     if source is not b.table.group:
         # equal groups produce identical canonical class data
-        from .permcore import conjugacy_classes
-
         reps_a = [c.representative for c in conjugacy_classes(source)]
         reps_b = [c.representative for c in conjugacy_classes(b.table.group)]
         if reps_a != reps_b:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .arith import euler_phi, is_prime, prime_factors, primitive_root
-from .cyclo import CycNum, _ff_poly_gcd, _ff_poly_powmod, _power_table
+from .cyclo import CycNum, _power_table, _roots_mod
 from .errors import InternalInconsistency, InvalidInput, NotASubgroup
 from .permcore import (
     CosetAction,
@@ -49,7 +49,7 @@ class CharacterTable:
         self.exponent = exponent
         self.power_maps = dict(power_maps)
         self.characters = tuple(tuple(row) for row in characters)
-        self._inverse_classes = None
+        self._partitions = {}  # (p, conductor) -> BlockPartition, owned by block_partition
 
     @property
     def k(self) -> int:
@@ -69,12 +69,6 @@ class CharacterTable:
     def value(self, i: int, j: int) -> CycNum:
         return self.characters[i][j]
 
-    def inverse_class(self, j: int) -> int:
-        if self._inverse_classes is None:
-            self._inverse_classes = tuple(
-                class_of(self.group, c.representative.inverse()) for c in self.classes)
-        return self._inverse_classes[j]
-
     def inner(self, row_a, row_b) -> CycNum:
         """<a, b> = (1/|G|) sum_K |K| a(K) conj(b(K)); rows may be indices."""
         if isinstance(row_a, int):
@@ -93,18 +87,14 @@ class CharacterTable:
                 return i
         raise InternalInconsistency("value vector does not match any table row")
 
-    def class_index_of(self, x) -> int:
-        return class_of(self.group, x)
-
 
 # -- Dixon-Schneider -----------------------------------------------------------
 
 
 def character_table(G: PermGroup, max_order=None) -> CharacterTable:
     """Compute (and cache on the group) the exact character table."""
-    cached = getattr(G, "_chartab", None)
-    if cached is not None:
-        return cached
+    if G._chartab is not None:
+        return G._chartab
     classes = conjugacy_classes(G, max_order)
     k = len(classes)
     exponent = lcm(*(c.element_order for c in classes))
@@ -181,11 +171,16 @@ def _dixon_schneider(G: PermGroup, classes, exponent: int) -> CharacterTable:
             row[j] = CycNum(o, coeffs)
         rows.append(tuple(row))
 
-    rows.sort(key=lambda row: (row[0].sort_key(), [v.sort_key() for v in row]))
+    rows.sort(key=_row_key)
     power_maps = {
         q: tuple(cls_of[(rep ** q).images] for rep in reps) for q in prime_factors(exponent)
     }
     return CharacterTable(G, classes, exponent, power_maps, rows)
+
+
+def _row_key(row):
+    """Canonical character order: by degree, then by the whole value row."""
+    return (row[0].sort_key(), [v.sort_key() for v in row])
 
 
 def _class_matrix(G: PermGroup, i: int, reps):
@@ -421,53 +416,6 @@ def _charpoly(M, ell):
     return polys[n]
 
 
-def _roots_mod(f, ell):
-    """Distinct roots, sorted, in F_l (l an odd prime) of a monic polynomial.
-
-    Coefficients are ascending. g = gcd(f, x^l - x) is the product of the
-    distinct linear factors of f. Each factor of g of degree > 1 is split
-    by its gcd with (x + a)^((l-1)/2) - 1, whose roots are the r with r + a
-    a nonzero square, trying a = 0, 1, 2, ... until the split is proper.
-    """
-    frob = list(_ff_poly_powmod((0, 1), ell, f, ell)) + [0, 0]  # pad: f may be linear
-    frob[1] -= 1
-    pending = [_monic_gcd(f, frob, ell)]
-    roots = []
-    while pending:
-        g = pending.pop()
-        if len(g) == 2:
-            roots.append(-g[0] % ell)
-        if len(g) <= 2:
-            continue
-        for a in range(ell):
-            half = list(_ff_poly_powmod((a, 1), (ell - 1) // 2, g, ell))
-            half[0] -= 1
-            h = _monic_gcd(g, half, ell)
-            if 1 < len(h) < len(g):
-                pending.extend((h, _poly_quotient(g, h, ell)))
-                break
-    return sorted(roots)
-
-
-def _monic_gcd(a, b, ell):
-    g = _ff_poly_gcd(a, b, ell)
-    inv = pow(g[-1], -1, ell)
-    return [c * inv % ell for c in g]
-
-
-def _poly_quotient(num, den, ell):
-    """num / den over F_l, for a monic den that divides num."""
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * (len(num) - dd)
-    for i in range(len(q) - 1, -1, -1):
-        c = q[i] = num[i + dd]
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] = (num[i + j] - c * dj) % ell
-    return q
-
-
 # -- fusion / restriction -------------------------------------------------------
 
 
@@ -533,10 +481,17 @@ def inflate_row(row_on_quotient, qmap):
 
 
 def ingest_table(G: PermGroup, classes, exponent, power_maps, characters) -> CharacterTable:
-    """Build a table from external data, re-validating before use."""
+    """Build a table from external data, re-validating it, and make it G's table.
+
+    Rows must be in canonical order (_row_key): indices are positions in it.
+    """
     T = CharacterTable(G, classes, exponent, power_maps, characters)
     try:
         _validate_table(T)
     except InternalInconsistency as exc:
         raise InvalidInput(f"ingested character table is invalid: {exc}") from exc
+    keys = [_row_key(row) for row in T.characters]
+    if keys != sorted(keys):
+        raise InvalidInput("ingested character table rows are not in canonical order")
+    G._chartab = T
     return T

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .blocks import Block, block_partition, defect_group, induced_block_from_subgroup
+from .blocks import Block, block_partition, defect_group, induced_block_from_subgroup, memoized
 from .chartab import (
     character_table,
     p_regular_classes,
@@ -51,6 +51,7 @@ def p_rational_members(B: Block) -> tuple[int, ...]:
                  if is_p_rational_value_set(T.characters[i], p, T.exponent))
 
 
+@memoized
 def inertial_index(B: Block):
     """(e, canonical root block b_0 of C_G(D), orbit size of b_0 under N_G(D)).
 
@@ -107,6 +108,7 @@ class CyclicBlockData:
                 f"nonexceptional {list(self.nonexceptional)}, exceptional {list(self.exceptional)}>")
 
 
+@memoized
 def analyze_cyclic_block(B: Block) -> CyclicBlockData:
     """Inertial index and exceptional family of a block with cyclic defect.
 

@@ -134,7 +134,7 @@ def _descent_solver(m: int, d: int):
         r += 1
     square = [[mat[i][j] for j in range(phi_d)] for i in pivots]
     inverse = _invert_matrix(square)
-    return tuple(pivots), tuple(tuple(row) for row in inverse), tuple(tuple(row) for row in mat)
+    return tuple(pivots), tuple(tuple(row) for row in inverse)
 
 
 def _invert_matrix(mat):
@@ -394,25 +394,26 @@ def _is_fixed(m: int, d: int, vec) -> bool:
 def _rewrite(m: int, d: int, vec):
     # solvability is guaranteed: _is_fixed already certified membership in
     # Q(zeta_d), so the pivot solve returns the (unique) coordinate vector
-    pivots, inverse, _mat = _descent_solver(m, d)
+    pivots, inverse = _descent_solver(m, d)
     rhs = [vec[i] for i in pivots]
     return [sum(row[j] * rhs[j] for j in range(len(rhs))) for row in inverse]
 
 
+def _deg(f) -> int:
+    """Degree of an ascending coefficient list that may carry zero padding; -1 for 0."""
+    d = len(f) - 1
+    while d >= 0 and f[d] == 0:
+        d -= 1
+    return d
+
+
 def _poly_modular_inverse(a, modulus):
     """Inverse of a mod an irreducible rational polynomial, both ascending lists."""
-
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and p[d] == 0:
-            d -= 1
-        return d
-
     def divmod_(num, den):
         num = list(num)
-        dd = deg(den)
-        out = [Fraction(0)] * max(deg(num) - dd + 1, 1)
-        for i in range(deg(num), dd - 1, -1):
+        dd = _deg(den)
+        out = [Fraction(0)] * max(_deg(num) - dd + 1, 1)
+        for i in range(_deg(num), dd - 1, -1):
             if num[i] == 0:
                 continue
             q = num[i] / den[dd]
@@ -423,14 +424,14 @@ def _poly_modular_inverse(a, modulus):
 
     r0, r1 = list(modulus), list(a)
     s0, s1 = [Fraction(0)], [Fraction(1)]
-    while deg(r1) > 0:
+    while _deg(r1) > 0:
         q, r = divmod_(r0, r1)
         r0, r1 = r1, r
         qs = _poly_mul(q, s1)
         s0, s1 = s1, [x - y for x, y in itertools.zip_longest(s0, qs, fillvalue=Fraction(0))]
-    if deg(r1) != 0:
+    if _deg(r1) != 0:
         raise ZeroDivisionError("element is zero modulo the cyclotomic polynomial")
-    c = r1[deg(r1)]
+    c = r1[_deg(r1)]
     return [x / c for x in s1]
 
 
@@ -508,25 +509,14 @@ class FiniteFieldElem:
         if isinstance(other, int):
             return FiniteFieldElem(self.p, self.modulus, [a * other for a in self.coords])
         self._check(other)
-        raw = [0] * (2 * self.degree - 1 if self.degree > 0 else 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                raw[i + j] = (raw[i + j] + a * b) % self.p
-        return FiniteFieldElem(self.p, self.modulus, _ff_reduce(raw, self.modulus, self.p))
+        return FiniteFieldElem(self.p, self.modulus,
+                               _ff_poly_mulmod(self.coords, other.coords, self.modulus, self.p))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = FiniteFieldElem(self.p, self.modulus, [1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return FiniteFieldElem(self.p, self.modulus,
+                               _ff_poly_powmod(self.coords, k, self.modulus, self.p))
 
     def __eq__(self, other):
         return (isinstance(other, FiniteFieldElem) and self.p == other.p
@@ -592,16 +582,9 @@ def _ff_poly_powmod(base, exponent, modulus, p):
 def _ff_poly_gcd(a, b, p):
     a = [c % p for c in a]
     b = [c % p for c in b]
-
-    def deg(f):
-        d = len(f) - 1
-        while d >= 0 and f[d] == 0:
-            d -= 1
-        return d
-
-    while deg(b) >= 0:
-        db, lead_inv = deg(b), pow(b[deg(b)], -1, p)
-        for i in range(deg(a), db - 1, -1):
+    while _deg(b) >= 0:
+        db, lead_inv = _deg(b), pow(b[_deg(b)], -1, p)
+        for i in range(_deg(a), db - 1, -1):
             c = a[i]
             if c == 0:
                 continue
@@ -609,31 +592,85 @@ def _ff_poly_gcd(a, b, p):
             for j in range(db + 1):
                 a[i - db + j] = (a[i - db + j] - f * b[j]) % p
         a, b = b, a
-    return a[: deg(a) + 1] if deg(a) >= 0 else [0]
+    return a[: _deg(a) + 1] if _deg(a) >= 0 else [0]
 
 
-def _least_irreducible(p: int, r: int) -> tuple[int, ...]:
-    """Lex-least monic irreducible of degree r over F_p (coefficients ascending).
+def _monic_gcd(a, b, p):
+    g = _ff_poly_gcd(a, b, p)
+    inv = pow(g[-1], -1, p)
+    return [c * inv % p for c in g]
+
+
+def _poly_quotient(num, den, p):
+    """num / den over F_p, for a monic den that divides num."""
+    num = list(num)
+    dd = len(den) - 1
+    q = [0] * (len(num) - dd)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = num[i + dd]
+        if c:
+            for j, dj in enumerate(den):
+                num[i + j] = (num[i + j] - c * dj) % p
+    return q
+
+
+def _roots_mod(f, p):
+    """Distinct roots, sorted, in F_p of a monic f (p odd, or f with at most one root).
+
+    Coefficients are ascending. g = gcd(f, x^p - x) is the product of the
+    distinct linear factors of f. Each factor of g of degree > 1 is split
+    by its gcd with (x + a)^((p-1)/2) - 1, whose roots are the r with r + a
+    a nonzero square, trying a = 0, 1, 2, ... until the split is proper.
+    """
+    frob = list(_ff_poly_powmod((0, 1), p, f, p)) + [0, 0]  # pad: f may be linear
+    frob[1] -= 1
+    pending = [_monic_gcd(f, frob, p)]
+    roots = []
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        if len(g) <= 2:
+            continue
+        for a in range(p):
+            half = list(_ff_poly_powmod((a, 1), (p - 1) // 2, g, p))
+            half[0] -= 1
+            h = _monic_gcd(g, half, p)
+            if 1 < len(h) < len(g):
+                pending.extend((h, _poly_quotient(g, h, p)))
+                break
+    return sorted(roots)
+
+
+def _small_tuples(p: int, r: int):
+    """Every r-tuple over 0..p-1 once, by increasing largest entry (p may be huge)."""
+    for top in range(p):
+        for t in itertools.product(range(top + 1), repeat=r):
+            if top in t:
+                yield t
+
+
+def _small_irreducible(p: int, r: int) -> tuple[int, ...]:
+    """A monic irreducible of degree r over F_p (ascending), small coefficients first.
 
     f is irreducible iff x^(p^r) = x (mod f) and x^(p^(r/q)) - x is coprime
-    to f for every prime q dividing r.
+    to f for every prime q dividing r. Any one will do: it only fixes a
+    model of F_{p^r}, and minimal polynomials over F_p do not depend on it.
     """
     x = ((0, 1) + (0,) * (r - 2))[:r]
-    # constant term 0 means divisible by y: skip that whole lex block
-    for c0 in range(1, p):
-        for rest in itertools.product(range(p), repeat=r - 1):
-            f = (c0,) + rest + (1,)
-            if _ff_poly_powmod(x, p ** r, f, p) != tuple(_ff_reduce(list(x), f, p)):
-                continue
-            ok = True
-            for q in prime_factors(r):
-                frob = _ff_poly_powmod(x, p ** (r // q), f, p)
-                diff = [(a - b) % p for a, b in zip(frob, _ff_reduce(list(x), f, p))]
-                if len(_ff_poly_gcd(diff, list(f), p)) > 1:
-                    ok = False
-                    break
-            if ok:
-                return f
+    for t in _small_tuples(p, r):
+        f = t[::-1] + (1,)  # the constant term varies fastest
+        if f[0] == 0:  # divisible by x
+            continue
+        if _ff_poly_powmod(x, p ** r, f, p) != tuple(_ff_reduce(list(x), f, p)):
+            continue
+        for q in prime_factors(r):
+            frob = _ff_poly_powmod(x, p ** (r // q), f, p)
+            diff = [(a - b) % p for a, b in zip(frob, _ff_reduce(list(x), f, p))]
+            if len(_ff_poly_gcd(diff, list(f), p)) > 1:
+                break
+        else:
+            return f
     raise InternalInconsistency(f"no irreducible polynomial of degree {r} over F_{p}")
 
 
@@ -643,21 +680,24 @@ def _lex_least_cyclotomic_factor(p: int, mprime: int) -> tuple[int, ...]:
     All factors share degree r = ord_mprime(p); they are the minimal
     polynomials of the primitive mprime-th roots of unity in F_{p^r}, one
     per Frobenius orbit, so the search is polynomial rather than an
-    enumeration of all monic degree-r polynomials.
+    enumeration of all monic degree-r polynomials. For r = 1 the factors
+    are the x - rho over the roots rho of Phi_mprime in F_p (for p = 2 only
+    Phi_1, which needs no splitting), and the lex-least one has the least
+    constant term -rho mod p.
     """
     r = multiplicative_order(p, mprime)
     phi = cyclotomic_polynomial(mprime)
     if r == 1:
-        for a in range(p):
-            if _ff_poly_divides((a, 1), phi, p):
-                return (a, 1)
-        raise InternalInconsistency("no linear factor found")
-    field_modulus = _least_irreducible(p, r)
+        roots = _roots_mod([c % p for c in phi], p)
+        if len(roots) != len(phi) - 1:
+            raise InternalInconsistency("cyclotomic polynomial does not split into linear factors")
+        return (min(-rho % p for rho in roots), 1)
+    field_modulus = _small_irreducible(p, r)
     unit_order = p ** r - 1
     cofactor = unit_order // mprime
     root = None
-    for tail in itertools.product(range(p), repeat=r):
-        candidate = tuple(tail)
+    # any primitive root gives the same factors: try small coordinates first
+    for candidate in _small_tuples(p, r):
         if not any(candidate):
             continue
         w = _ff_poly_powmod(candidate, cofactor, field_modulus, p)

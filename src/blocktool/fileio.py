@@ -83,7 +83,7 @@ def table_to_obj(T: CharacterTable) -> dict:
 
 
 def table_from_obj(G: PermGroup, obj) -> CharacterTable:
-    """Rebuild a table against a freshly computed class list, re-validating."""
+    """Rebuild a table against a freshly computed class list, re-validating; it becomes G's."""
     if obj.get("schema") != 1:
         raise InvalidInput("unknown table schema")
     classes = conjugacy_classes(G)
@@ -116,7 +116,10 @@ def cache_dir_from_env(cli_value=None):
 
 
 def cached_character_table(G: PermGroup, cache_dir=None, max_order=None) -> CharacterTable:
-    """Compute or load the table; cache keyed by the canonical generator hash."""
+    """Compute or load the table; cache keyed by the canonical generator hash.
+
+    Files are written under a temporary name and renamed, so no reader sees half a file.
+    """
     if cache_dir is None:
         return character_table(G, max_order)
     cache_dir = Path(cache_dir)
@@ -126,11 +129,11 @@ def cached_character_table(G: PermGroup, cache_dir=None, max_order=None) -> Char
         try:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
-            T = table_from_obj(G, obj)
-            G._chartab = T
-            return T
+            return table_from_obj(G, obj)
         except (InvalidInput, json.JSONDecodeError, KeyError):
             path.unlink()
     T = character_table(G, max_order)
-    path.write_text(canonical_json(table_to_obj(T)), encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(canonical_json(table_to_obj(T)), encoding="utf-8")
+    os.replace(tmp, path)
     return T

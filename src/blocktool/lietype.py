@@ -12,22 +12,14 @@ from __future__ import annotations
 from math import prod
 
 from . import arith
-from .errors import InvalidInput, NotCoprime, RealizationMismatch, UnsupportedSeries
+from .arith import multiplicative_order
+from .errors import InvalidInput, RealizationMismatch, UnsupportedSeries
 from .permcore import PermGroup, is_cyclic, sylow_subgroup
 
 SERIES = ("A", "2A", "B", "C", "D", "2D", "3D4", "E6", "2E6", "E7")
 
 _FIXED_RANK = {"3D4": 4, "E6": 6, "2E6": 6, "E7": 7}
 _MIN_RANK = {"A": 2, "2A": 2, "B": 2, "C": 2, "D": 4, "2D": 4}
-
-
-def multiplicative_order(a: int, p: int) -> int:
-    """Least d >= 1 with a^d = 1 (mod p); requires p prime, p not dividing a."""
-    if not arith.is_prime(p):
-        raise InvalidInput(f"{p} is not prime")
-    if a % p == 0:
-        raise NotCoprime(f"{a} is divisible by {p}")
-    return arith.multiplicative_order(a, p)
 
 
 class LieTypeCase:

@@ -6,6 +6,11 @@ deterministic Schreier-Sims stabilizer chain, while conjugacy classes,
 centralizers, normalizers and subgroup conjugacy fall back to exact
 element-list searches guarded by a configurable order bound. Correctness
 over asymptotics, desk scale.
+
+A group and all subgroups built inside it share one registry, one PermGroup
+per sorted generator tuple: SubgroupHandles with equal generators share one
+chain, element list, class list and table while the ambient group lives.
+It is keyed by generators, not element sets, so no generators ever change.
 """
 
 from __future__ import annotations
@@ -166,6 +171,13 @@ class PermGroup:
         self._element_set = None
         self._classes = None
         self._class_of = None
+        self._class_members = None
+        self._chartab = None  # set only in chartab: character_table, ingest_table
+        self._subgroups = {self.generator_key(): self}
+
+    def generator_key(self) -> tuple:
+        """The sorted generator image tuple: the subgroup registry key."""
+        return tuple(g.images for g in self.generators)
 
     # -- stabilizer chain -------------------------------------------------
 
@@ -267,7 +279,9 @@ class SubgroupHandle:
 
     def __init__(self, ambient: PermGroup, generators, check: bool = True):
         self.ambient = ambient
-        self.group = PermGroup(ambient.degree, generators)
+        group = PermGroup(ambient.degree, generators)
+        group._subgroups = ambient._subgroups
+        self.group = ambient._subgroups.setdefault(group.generator_key(), group)
         if check:
             for g in self.group.generators:
                 if g not in ambient:
@@ -447,14 +461,15 @@ def normalizer(G: PermGroup, Q: SubgroupHandle) -> SubgroupHandle:
     for g in Q.generators:
         if g not in G:
             raise NotASubgroup("subgroup does not lie in the ambient group")
-    qset = Q.element_set()
-    gens = Q.generators
-    members = []
+    return subgroup_from_elements(G, list(_conjugators(G, Q.generators, Q.element_set())))
+
+
+def _conjugators(G: PermGroup, gens, target: frozenset):
+    """The g in G, in canonical order, with s^g in target for every s in gens."""
     for g in G.elements():
         ginv = g.inverse()
-        if all((ginv * s * g).images in qset for s in gens):
-            members.append(g)
-    return subgroup_from_elements(G, members)
+        if all((ginv * s * g).images in target for s in gens):
+            yield g
 
 
 def sylow_subgroup(G: PermGroup, p: int) -> SubgroupHandle:
@@ -518,15 +533,9 @@ def conjugating_element(G: PermGroup, A: SubgroupHandle, B: SubgroupHandle):
     """A g with A^g = B, or None. Exhaustive with cheap pruning."""
     if _subgroup_signature(A) != _subgroup_signature(B):
         return None
-    bset = B.element_set()
-    agens = A.generators
-    if not agens:
+    if not A.generators:
         return Permutation.identity(G.degree)
-    for g in G.elements():
-        ginv = g.inverse()
-        if all((ginv * s * g).images in bset for s in agens):
-            return g
-    return None
+    return next(_conjugators(G, A.generators, B.element_set()), None)
 
 
 def are_conjugate_subgroups(G: PermGroup, A: SubgroupHandle, B: SubgroupHandle) -> bool:
@@ -593,20 +602,36 @@ def radical_p_subgroups(G: PermGroup, p: int, max_order=None) -> tuple[SubgroupH
 
 
 class CosetAction:
-    """The action of G on right cosets of H, with projection and kernel."""
+    """The action of G on the right cosets of H <= G, with projection and kernel.
 
-    def __init__(self, group: PermGroup, subgroup: SubgroupHandle, image: PermGroup,
-                 reps: tuple[Permutation, ...], kernel: SubgroupHandle):
+    The image is isomorphic to G/core_G(H); for H normal this is G/H.
+    """
+
+    def __init__(self, group: PermGroup, subgroup: SubgroupHandle):
         self.group = group
         self.subgroup = subgroup
-        self.image = image
-        self.reps = reps
-        self.kernel = kernel
-        self._coset_index = {self._coset_key(r): i for i, r in enumerate(reps)}
+        self._hels = subgroup.elements()
+        identity = Permutation.identity(group.degree)
+        reps = [identity]
+        self._coset_index = {self._coset_key(identity): 0}
+        for r in reps:  # breadth first: reps grows while it is read
+            for g in group.generators:
+                x = r * g
+                k = self._coset_key(x)
+                if k not in self._coset_index:
+                    self._coset_index[k] = len(reps)
+                    reps.append(x)
+        self.reps = tuple(reps)
+        self.image = PermGroup(len(reps), [self.project(g) for g in group.generators])
+        # kernel = core_G(H) = elements of H all of whose conjugates by coset reps stay in H
+        hset = subgroup.element_set()
+        self.kernel = subgroup_from_elements(
+            group, [x for x in self._hels if all((r * x * r.inverse()).images in hset for r in reps)])
+        if self.image.order() * self.kernel.order != group.order():
+            raise InternalInconsistency("coset action order check failed")
 
     def _coset_key(self, x: Permutation) -> tuple:
-        hset = self.subgroup.elements()
-        return min((h * x).images for h in hset) if hset else x.images
+        return min((h * x).images for h in self._hels)
 
     def coset_index(self, x: Permutation) -> int:
         return self._coset_index[self._coset_key(x)]
@@ -617,42 +642,8 @@ class CosetAction:
 
 
 def coset_action(G: PermGroup, H: SubgroupHandle) -> CosetAction:
-    """Realize G acting on the right cosets of H <= G.
-
-    The image is isomorphic to G/core_G(H); for H normal this is G/H.
-    """
+    """Realize G acting on the right cosets of H <= G."""
     for g in H.generators:
         if g not in G:
             raise NotASubgroup("H is not a subgroup of G")
-    hels = H.elements()
-
-    def key(x):
-        return min((h * x).images for h in hels)
-
-    identity = Permutation.identity(G.degree)
-    reps = [identity]
-    index = {key(identity): 0}
-    queue = [identity]
-    while queue:
-        r = queue.pop(0)
-        for g in G.generators:
-            x = r * g
-            k = key(x)
-            if k not in index:
-                index[k] = len(reps)
-                reps.append(x)
-                queue.append(x)
-    n = len(reps)
-
-    def project(g):
-        return Permutation(index[key(r * g)] for r in reps)
-
-    image = PermGroup(n, [project(g) for g in G.generators])
-    # kernel = core_G(H) = elements of H all of whose conjugates by coset reps stay in H
-    hset = H.element_set()
-    kernel_members = [x for x in hels
-                      if all((r * x * r.inverse()).images in hset for r in reps)]
-    kernel = subgroup_from_elements(G, kernel_members)
-    if image.order() * kernel.order != G.order():
-        raise InternalInconsistency("coset action order check failed")
-    return CosetAction(G, H, image, tuple(reps), kernel)
+    return CosetAction(G, H)

@@ -14,6 +14,7 @@ from .blocks import (
     defect_group,
     heights_and_height_zero,
     induced_block_from_subgroup,
+    memoized,
 )
 from .chartab import character_table
 from .cyclicblocks import (
@@ -21,7 +22,6 @@ from .cyclicblocks import (
     analyze_cyclic_block,
     brauer_tree,
     derived_brauer_characters,
-    inertial_index,
     unitriangular_labeling,
 )
 from .errors import (
@@ -52,6 +52,7 @@ SCHEMA_VERSION = 1
 # -- Brauer correspondents and the AM count -----------------------------------
 
 
+@memoized
 def brauer_correspondent(B: Block):
     """(B', N_G(D)): the unique block of N_G(D) with defect group D and (B')^G = B."""
     if B.defect == 0:
@@ -125,16 +126,8 @@ def in_refinement_check(B: Block):
     _h, irr0 = heights_and_height_zero(B)
     _h2, irr0_local = heights_and_height_zero(Bprime)
     c = p_prime_part(T.order // N.order, p) % p
-
-    def families(block):
-        try:
-            data = analyze_cyclic_block(block)
-        except (NotCyclicDefect, CentralDefect, BlocktoolError):
-            return None
-        return data
-
-    data_g = families(B)
-    data_l = families(Bprime) if Bprime is not B else data_g
+    data_g = _cyclic_data(B)
+    data_l = data_g if Bprime is B else _cyclic_data(Bprime)
     constrain = (data_g is not None and data_l is not None
                  and data_g.multiplicity > 1 and data_l.multiplicity > 1)
 
@@ -166,6 +159,14 @@ def in_refinement_check(B: Block):
         for i, j in sorted(matching.items())
     ]
     return ok, witness
+
+
+def _cyclic_data(B: Block):
+    """analyze_cyclic_block(B), or None where the cyclic analysis does not apply."""
+    try:
+        return analyze_cyclic_block(B)
+    except BlocktoolError:
+        return None
 
 
 # -- user-supplied automorphisms ---------------------------------------------------
@@ -207,10 +208,7 @@ def equivariance_spot_check(B: Block, autos):
     T = B.table
     G = T.group
     results = []
-    try:
-        data = analyze_cyclic_block(B)
-    except BlocktoolError:
-        data = None
+    data = _cyclic_data(B)
     heights, _irr0 = heights_and_height_zero(B)
     D = defect_group(B)
     for raw in autos:
@@ -306,14 +304,13 @@ def block_report(B: Block, checks=("am", "in", "baw"), autos=None, max_order=Non
             tree = brauer_tree(B, data)
             dmatrix = unitriangular_labeling(tree)
             phi = derived_brauer_characters(B, dmatrix)
-            e, _b0, _t = inertial_index(B)
             cyclic_entry = {
                 "e": data.e,
                 "multiplicity": data.multiplicity,
                 "nonexceptional": list(data.nonexceptional),
                 "exceptional": list(data.exceptional),
                 "p_rational": list(data.p_rational),
-                "nilpotent": e == 1,
+                "nilpotent": data.e == 1,
                 "tree": _tree_report(tree, dmatrix, phi),
             }
         except CentralDefect:

@@ -7,8 +7,17 @@ Undefined inductions are reported per candidate, never silently dropped.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .arith import v_p
-from .blocks import Block, BlockPartition, block_partition, defect_group, induced_block_from_subgroup
+from .blocks import (
+    Block,
+    BlockPartition,
+    block_partition,
+    defect_group,
+    induced_block_from_subgroup,
+    memoized,
+)
 from .chartab import CharacterTable, character_table, inflate_row, quotient_class_map
 from .cyclicblocks import inertial_index
 from .errors import GroupTooLarge, InternalInconsistency, NotSupported
@@ -17,6 +26,7 @@ from .permcore import (
     PermGroup,
     SubgroupHandle,
     coset_action,
+    full_subgroup,
     is_cyclic,
     normalizer,
     radical_p_subgroups,
@@ -44,89 +54,73 @@ class Weight:
                 f"induces block {self.induced_block.index}>")
 
 
-class _LocalData:
-    """Per-radical-class quotient data, computed once per (G, p, star)."""
+def _normalizer_quotient(G: PermGroup, Q: SubgroupHandle, max_order=None):
+    """(N_G(Q), coset action of N_G(Q) on Q or None for Q = 1, table of N_G(Q)/Q).
 
-    def __init__(self, radical_index, Q, N, table_N, table_Q, qmap, local_partition):
-        self.radical_index = radical_index
-        self.Q = Q
-        self.N = N
-        self.table_N = table_N
-        self.table_Q = table_Q
-        self.qmap = qmap
-        self.local_partition = local_partition
-
-
-def _local_data(G: PermGroup, p: int, star, max_order=None):
-    cache = getattr(G, "_weight_locals", None)
-    if cache is None:
-        cache = G._weight_locals = {}
-    key = (p, star.m)
-    if key in cache:
-        return cache[key]
-    bound = DEFAULT_MAX_ORDER if max_order is None else max_order
-    out = []
-    for r, Q in enumerate(radical_p_subgroups(G, p, max_order)):
-        N = normalizer(G, Q)
-        if N.order // Q.order > bound:
-            raise GroupTooLarge(f"|N_G(Q)/Q| = {N.order // Q.order} exceeds the bound")
-        TN = character_table(N.group, max_order)
-        if Q.order == 1:
-            TQ = TN
-            qmap = tuple(range(TN.k))
-        else:
-            action = coset_action(N.group, SubgroupHandle(N.group, Q.generators))
-            if action.kernel.order != Q.order:
-                raise InternalInconsistency("radical subgroup is not the kernel of its coset action")
-            TQ = character_table(action.image, max_order)
-            qmap = quotient_class_map(action, TN, TQ)
-        local_partition = block_partition(TN, p, star)
-        out.append(_LocalData(r, Q, N, TN, TQ, qmap, local_partition))
-    cache[key] = tuple(out)
-    return cache[key]
-
-
-def dz_characters(Q: SubgroupHandle, G: PermGroup, p: int, max_order=None):
-    """Defect-zero characters of N_G(Q)/Q: (quotient table, char indices)."""
-    N = normalizer(G, Q)
+    N_G(1) is G itself, not a copy with other generators, so G's table is reused.
+    """
+    N = full_subgroup(G) if Q.order == 1 else normalizer(G, Q)
     bound = DEFAULT_MAX_ORDER if max_order is None else max_order
     if N.order // Q.order > bound:
         raise GroupTooLarge(f"|N_G(Q)/Q| = {N.order // Q.order} exceeds the bound")
     if Q.order == 1:
-        TQ = character_table(N.group, max_order)
-    else:
-        action = coset_action(N.group, SubgroupHandle(N.group, Q.generators))
-        TQ = character_table(action.image, max_order)
+        return N, None, character_table(N.group, max_order)
+    action = coset_action(N.group, SubgroupHandle(N.group, Q.generators))
+    if action.kernel.order != Q.order:
+        raise InternalInconsistency("radical subgroup is not the kernel of its coset action")
+    return N, action, character_table(action.image, max_order)
+
+
+def _defect_zero(TQ: CharacterTable, p: int) -> tuple[int, ...]:
     full = v_p(TQ.order, p)
-    indices = tuple(i for i in range(TQ.k) if v_p(TQ.degree(i), p) == full)
-    return TQ, indices
+    return tuple(i for i in range(TQ.k) if v_p(TQ.degree(i), p) == full)
 
 
+#: One radical class Q: N_G(Q), the table of N_G(Q)/Q, and for each defect-zero
+#: character i of N_G(Q)/Q the pair (i, block its inflation induces to, or None).
+_LocalData = namedtuple("_LocalData", "radical_index Q N table_Q induced")
+
+
+@memoized
+def _local_data(partition: BlockPartition, max_order=None):
+    G, p = partition.table.group, partition.p
+    out = []
+    for r, Q in enumerate(radical_p_subgroups(G, p, max_order)):
+        N, action, TQ = _normalizer_quotient(G, Q, max_order)
+        TN = character_table(N.group, max_order)
+        qmap = tuple(range(TN.k)) if action is None else quotient_class_map(action, TN, TQ)
+        local_partition = block_partition(TN, p, partition.star)
+        induced = []
+        for i in _defect_zero(TQ, p):
+            Bprime = local_partition.block_of_character(
+                TN.row_index(inflate_row(TQ.characters[i], qmap)))
+            induced.append((i, induced_block_from_subgroup(N, Bprime, partition)))
+        out.append(_LocalData(r, Q, N, TQ, tuple(induced)))
+    return tuple(out)
+
+
+def dz_characters(Q: SubgroupHandle, G: PermGroup, p: int, max_order=None):
+    """Defect-zero characters of N_G(Q)/Q: (quotient table, char indices)."""
+    _N, _action, TQ = _normalizer_quotient(G, Q, max_order)
+    return TQ, _defect_zero(TQ, p)
+
+
+@memoized
 def weights_of_block(B: Block, max_order=None):
     """All weights of B over a radical transversal, plus skip warnings."""
-    G = B.table.group
-    p, star = B.p, B.star
     weights = []
     warnings = []
-    for local in _local_data(G, p, star, max_order):
+    for local in _local_data(B.partition, max_order):
         TQ = local.table_Q
-        full = v_p(TQ.order, p)
-        for i in range(TQ.k):
-            if v_p(TQ.degree(i), p) != full:
-                continue
-            inflated = inflate_row(TQ.characters[i], local.qmap)
-            lifted_index = local.table_N.row_index(inflated)
-            Bprime = local.local_partition.block_of_character(lifted_index)
-            induced = induced_block_from_subgroup(local.N, Bprime, B.partition)
+        for i, induced in local.induced:
             if induced is None:
                 warnings.append(
                     f"radical class {local.radical_index}: induction of the block of "
                     f"defect-zero character {i} (degree {TQ.degree(i)}) is undefined; skipped")
-                continue
-            if induced is B:
+            elif induced is B:
                 weights.append(Weight(local.radical_index, local.Q, local.N.order,
                                       TQ, i, induced))
-    return weights, warnings
+    return tuple(weights), tuple(warnings)
 
 
 def baw_count_check(B: Block, max_order=None):
@@ -144,27 +138,14 @@ def baw_count_check(B: Block, max_order=None):
 
 
 def radical_class_report(G: PermGroup, p: int, partition: BlockPartition, max_order=None):
-    """JSON-able weight overview: one entry per radical class."""
-    out = []
-    for local in _local_data(G, p, partition.star, max_order):
-        TQ = local.table_Q
-        full = v_p(TQ.order, p)
-        chars = []
-        for i in range(TQ.k):
-            if v_p(TQ.degree(i), p) != full:
-                continue
-            inflated = inflate_row(TQ.characters[i], local.qmap)
-            Bprime = local.local_partition.block_of_character(local.table_N.row_index(inflated))
-            induced = induced_block_from_subgroup(local.N, Bprime, partition)
-            chars.append({
-                "degree": TQ.degree(i),
-                "induced_block": None if induced is None else induced.index,
-            })
-        out.append({
-            "radical_class": local.radical_index,
-            "order": local.Q.order,
-            "generators": [g.one_based() for g in local.Q.generators],
-            "normalizer_quotient_order": TQ.order if local.Q.order > 1 else local.N.order,
-            "defect_zero_characters": chars,
-        })
-    return out
+    """JSON-able weight overview: one entry per radical class of the partition's group."""
+    return [{
+        "radical_class": local.radical_index,
+        "order": local.Q.order,
+        "generators": [g.one_based() for g in local.Q.generators],
+        "normalizer_quotient_order": local.table_Q.order,
+        "defect_zero_characters": [
+            {"degree": local.table_Q.degree(i),
+             "induced_block": None if induced is None else induced.index}
+            for i, induced in local.induced],
+    } for local in _local_data(partition, max_order)]

@@ -323,3 +323,44 @@ def test_corpus_rejects_non_prime_manifest_entry(tmp_path):
     bad.write_text(canonical_json({"schema": 1, "entries": [
         {"group": "s3.json", "primes": [2, 1]}]}))
     assert_invalid_input(*run_subprocess("corpus", str(bad)))
+
+
+@pytest.mark.parametrize("command, prime", [
+    ("analyze", "1000000000000000003"),  # r = 1 for Phi_6: the linear-factor scan used to hang
+    ("verify", "1000000000000000003"),
+    ("analyze", "99999999999999999989"),  # r = 2: itertools.product(range(p)) used to overflow
+])
+def test_huge_primes_finish(command, prime):
+    code, out, err = run_subprocess(command, str(group_path("s3")), "--prime", prime)
+    assert code == 0, err
+    assert json.loads(out)["prime"] == int(prime)
+
+
+def test_prime_beyond_the_primality_bound_is_invalid_input():
+    # 2^89 - 1 is prime, but above the bound where Miller-Rabin with bases 2..41 is proven exact
+    assert_invalid_input(*run_subprocess("analyze", str(group_path("s3")), "--prime",
+                                         str(2 ** 89 - 1)))
+
+
+# -- table cache hardening ----------------------------------------------------------------
+
+
+def test_cache_with_swapped_rows_is_rejected_and_replaced(tmp_path):
+    from blocktool.errors import InvalidInput
+    from blocktool.fileio import cached_character_table, table_from_obj, table_to_obj
+
+    _name, G = read_group_file(group_path("a5"))
+    computed = table_to_obj(cached_character_table(G, tmp_path))
+    (path,) = tmp_path.glob("table-*.json")
+    swapped = json.loads(path.read_text())
+    rows = swapped["characters"]
+    rows[1], rows[2] = rows[2], rows[1]  # the two degree-3 characters: still a valid table
+    path.write_text(canonical_json(swapped))
+
+    _name, fresh = read_group_file(group_path("a5"))
+    with pytest.raises(InvalidInput, match="canonical order"):
+        table_from_obj(fresh, swapped)
+    _name, fresh = read_group_file(group_path("a5"))
+    assert table_to_obj(cached_character_table(fresh, tmp_path)) == computed
+    assert json.loads(path.read_text()) == computed
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blocktool.arith import is_prime, multiplicative_order
 from blocktool.cyclo import (
     CycNum,
+    _ff_poly_divides,
+    _lex_least_cyclotomic_factor,
     cyclotomic_polynomial,
     galois_apply,
     is_p_rational_value_set,
@@ -246,3 +249,28 @@ def test_canonical_equality_matches_coordinate_comparison(a, b):
     coords_b = {k * (m // b.m): c for k, c in b.terms}
     raw = CycNum(m, coords_a) == CycNum(m, coords_b)
     assert structural == difference == raw
+
+
+# -- the lex-least factor of Phi_m' over F_p -----------------------------------------
+
+
+def linear_factor_by_scan(p, m):
+    """Oracle: the least a in 0..p-1 with x + a dividing Phi_m over F_p."""
+    phi = cyclotomic_polynomial(m)
+    return next((a, 1) for a in range(p) if _ff_poly_divides((a, 1), phi, p))
+
+
+def test_linear_factor_from_roots_matches_the_scan():
+    cases = [(p, m) for p in range(3, 200) if is_prime(p) for m in range(1, 31)
+             if m % p and multiplicative_order(p, m) == 1]
+    assert len(cases) > 100
+    for p, m in cases:
+        assert _lex_least_cyclotomic_factor(p, m) == linear_factor_by_scan(p, m), (p, m)
+
+
+@pytest.mark.parametrize("p, m", [(10 ** 18 + 3, 6), (10 ** 18 + 3, 12),
+                                  (99999999999999999989, 6), (99999999999999999989, 5)])
+def test_factor_for_huge_primes_divides_phi(p, m):
+    factor = _lex_least_cyclotomic_factor(p, m)
+    assert len(factor) - 1 == multiplicative_order(p, m)
+    assert factor[-1] == 1 and _ff_poly_divides(factor, cyclotomic_polynomial(m), p)

@@ -226,6 +226,34 @@ def test_subgroup_validation(a5):
         SubgroupHandle(a5, [perm(5, (1, 2))])
 
 
+# -- the subgroup registry ------------------------------------------------------
+
+
+def test_full_subgroup_is_the_group_itself():
+    G = PermGroup(5, A5_GENS)
+    assert pc.full_subgroup(G).group is G
+
+
+def test_equal_generators_share_one_group():
+    G = PermGroup(5, A5_GENS)
+    C5 = SubgroupHandle(G, [perm(5, (1, 2, 3, 4, 5))])
+    N1, N2 = normalizer(G, C5), normalizer(G, C5)
+    assert N1 is not N2 and N1.group is N2.group
+    assert SubgroupHandle(G, reversed(N1.generators)).group is N1.group
+    # a subgroup's own subgroups come from the same registry
+    assert SubgroupHandle(N1.group, C5.generators).group is C5.group
+    # sharing never changes generators
+    assert N1.generators == subgroup_from_elements(G, N1.elements()).generators
+
+
+def test_registry_still_checks_membership():
+    G = PermGroup(5, A5_GENS)
+    outside = perm(5, (1, 2))
+    SubgroupHandle(G, [outside], check=False)  # registered without a check
+    with pytest.raises(NotASubgroup):
+        SubgroupHandle(G, [outside])
+
+
 # -- Sylow subgroups ----------------------------------------------------------
 
 

@@ -1,8 +1,16 @@
 """AM counting, IN matching, equivariance, full reports."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from blocktool import chartab
 from blocktool.blocks import block_partition
+from blocktool.cli import main
+from blocktool.data import group_path
+from blocktool.fileio import read_group_file
 from blocktool.chartab import character_table
 from blocktool.errors import NotAnAutomorphism
 from blocktool.permcore import Permutation
@@ -279,3 +287,33 @@ def test_full_report_trivial_group():
     b = report["blocks"][0]
     assert b["defect"] == 0
     assert b["checks"]["baw"] == {"ibr": 1, "weights": 1, "ok": True}
+
+
+# -- one computation per subgroup ------------------------------------------------------
+
+
+def test_m11_report_runs_dixon_schneider_once_per_generator_tuple(monkeypatch):
+    runs = []
+    original = chartab._dixon_schneider
+
+    def recording(G, *args):
+        runs.append((G.degree, tuple(g.images for g in G.generators)))
+        return original(G, *args)
+
+    monkeypatch.setattr(chartab, "_dixon_schneider", recording)
+    _name, G = read_group_file(group_path("m11"))
+    report = full_group_report(G, 11)
+    assert report["overall"]
+    assert len(runs) == len(set(runs))
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify-m11-psl211.json"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
+def test_psl211_verify_bytes_match_the_benchmark_hash(capsys, p):
+    want = json.loads(EXPECTED.read_text(encoding="utf-8"))["sha256_seed0"][f"verify:psl211:p{p}"]
+    code = main(["verify", str(group_path("psl211")), "--prime", str(p)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want

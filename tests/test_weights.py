@@ -4,7 +4,7 @@ import pytest
 
 from blocktool.blocks import block_partition, defect_group
 from blocktool.chartab import character_table
-from blocktool.errors import NotSupported
+from blocktool.errors import GroupTooLarge, NotSupported
 from blocktool.permcore import (
     SubgroupHandle,
     Permutation,
@@ -144,3 +144,12 @@ def test_alperin_sum_over_blocks(corpus):
             assert not warnings
             total += len(weights)
         assert total == len(p_regular_classes(T, p))
+
+
+def test_weights_respect_the_order_bound_after_a_cached_call(corpus):
+    B = block_partition(character_table(corpus["a5"]), 5).principal_block()
+    first = weights_of_block(B)
+    assert weights_of_block(B) is first
+    with pytest.raises(GroupTooLarge):
+        weights_of_block(B, max_order=10)
+    assert weights_of_block(B) is first
