@@ -1,4 +1,9 @@
-"""Small exact number-theory helpers (trial division scale, except is_prime)."""
+"""Small exact number-theory helpers.
+
+is_prime is deterministic Miller-Rabin; prime_factors trial-divides by small
+numbers and splits what is left with Brent's variant of Pollard's rho, so
+orders modulo huge primes come from the factors of p - 1.
+"""
 
 from __future__ import annotations
 
@@ -39,20 +44,57 @@ def is_prime(n: int) -> bool:
     return True
 
 
+#: prime_factors trial-divides below this bound, then uses Pollard-Brent rho.
+_TRIAL_BOUND = 1000
+
+
 @lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime divisors of n, ascending."""
     out = []
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_BOUND:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    return tuple(out) + (tuple(sorted(_large_prime_factors(n))) if n > 1 else ())
+
+
+def _large_prime_factors(n: int) -> set[int]:
+    """Distinct prime divisors of n > 1, which has none below _TRIAL_BOUND."""
+    if n < _TRIAL_BOUND ** 2 or is_prime(n):
+        return {n}
+    d = _pollard_brent(n)
+    return _large_prime_factors(d) | _large_prime_factors(n // d)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of an odd composite n (Brent, BIT 20, 1980); deterministic."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ValueError(f"{n} is not an odd composite")
 
 
 def factorization(n: int) -> dict[int, int]:
@@ -98,10 +140,10 @@ def multiplicative_order(a: int, n: int) -> int:
     a %= n
     if gcd(a, n) != 1:
         raise NotCoprime(f"{a} is not invertible modulo {n}")
-    d, x = 1, a
-    while x != 1 % n:
-        x = x * a % n
-        d += 1
+    d = euler_phi(n)  # a multiple of the order: divide it down prime by prime
+    for q in prime_factors(d):
+        while d % q == 0 and pow(a, d // q, n) == 1:
+            d //= q
     return d
 
 

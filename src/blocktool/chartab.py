@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 from .arith import euler_phi, is_prime, prime_factors, primitive_root
 from .cyclo import CycNum, _power_table, _roots_mod
@@ -144,6 +145,9 @@ def _dixon_schneider(G: PermGroup, classes, exponent: int) -> CharacterTable:
     inv_class = [cls_of[r.inverse().images] for r in reps]
     sizes = [c.size for c in classes]
     zroot = pow(primitive_root(ell), (ell - 1) // exponent, ell)
+    # classes of rep^0, ..., rep^(o-1) for each class, shared by every row
+    power_classes = [[cls_of[(rep ** s).images] for s in range(c.element_order)]
+                     for rep, c in zip(reps, classes)]
 
     rows = []
     for space in spaces:
@@ -154,10 +158,10 @@ def _dixon_schneider(G: PermGroup, classes, exponent: int) -> CharacterTable:
         degree = next(d for d in range(1, isqrt(order) + 1) if d * d % ell == dsq)
         vals_mod = [degree * u[j] * pow(sizes[j], -1, ell) % ell for j in range(k)]
         row = [None] * k
-        for j, rep in enumerate(reps):
+        for j in range(k):
             o = classes[j].element_order
             eta = pow(zroot, exponent // o, ell)
-            powers = [vals_mod[cls_of[(rep ** s).images]] for s in range(o)]
+            powers = [vals_mod[c] for c in power_classes[j]]
             o_inv = pow(o, -1, ell)
             coeffs = {}
             for c in range(o):
@@ -192,10 +196,11 @@ def _class_matrix(G: PermGroup, i: int, reps):
     k = len(reps)
     cls_of = G._class_of
     A = [[0] * k for _ in range(k)]
+    rep_images = [z.images for z in reps]
     for x in class_members(G, i):
-        xinv = x.inverse()
-        for l, z in enumerate(reps):
-            A[cls_of[(xinv * z).images]][l] += 1
+        xinv_times = itemgetter(*x.inverse().images)  # degree >= 2: G is nontrivial
+        for l, z in enumerate(rep_images):
+            A[cls_of[xinv_times(z)]][l] += 1
     return A
 
 

@@ -155,7 +155,7 @@ def cmd_lietype(args) -> int:
     case = LieTypeCase(args.series, args.n, args.q, args.p)
     if args.realization:
         _name, G = read_group_file(args.realization)
-        record = cross_check_small_instance(case, G)
+        record = cross_check_small_instance(case, G, args.max_order)
         ok = record["consistent"]
     else:
         record = cyclic_sylow_criterion(case)
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--realization", help="group file for the Sylow cross-check")
-    p.add_argument("--out")
+    common(p)
     p.set_defaults(func=cmd_lietype)
 
     p = sub.add_parser("table", help="character table (compute or load from cache)")

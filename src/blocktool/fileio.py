@@ -82,11 +82,11 @@ def table_to_obj(T: CharacterTable) -> dict:
     }
 
 
-def table_from_obj(G: PermGroup, obj) -> CharacterTable:
+def table_from_obj(G: PermGroup, obj, max_order=None) -> CharacterTable:
     """Rebuild a table against a freshly computed class list, re-validating; it becomes G's."""
     if obj.get("schema") != 1:
         raise InvalidInput("unknown table schema")
-    classes = conjugacy_classes(G)
+    classes = conjugacy_classes(G, max_order)
     stored = obj["classes"]
     if len(stored) != len(classes):
         raise InvalidInput("cached table class count differs from the group")
@@ -129,7 +129,7 @@ def cached_character_table(G: PermGroup, cache_dir=None, max_order=None) -> Char
         try:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
-            return table_from_obj(G, obj)
+            return table_from_obj(G, obj, max_order)
         except (InvalidInput, json.JSONDecodeError, KeyError):
             path.unlink()
     T = character_table(G, max_order)

@@ -14,7 +14,7 @@ from math import prod
 from . import arith
 from .arith import multiplicative_order
 from .errors import InvalidInput, RealizationMismatch, UnsupportedSeries
-from .permcore import PermGroup, is_cyclic, sylow_subgroup
+from .permcore import PermGroup, _check_order, is_cyclic, sylow_subgroup
 
 SERIES = ("A", "2A", "B", "C", "D", "2D", "3D4", "E6", "2E6", "E7")
 
@@ -141,13 +141,17 @@ def simple_group_order(case: LieTypeCase) -> int:
     raise UnsupportedSeries(s)
 
 
-def cross_check_small_instance(case: LieTypeCase, G: PermGroup) -> dict:
-    """Check the divisibility clause predicts Sylow p-cyclicity in a realization."""
+def cross_check_small_instance(case: LieTypeCase, G: PermGroup, max_order=None) -> dict:
+    """Check the divisibility clause predicts Sylow p-cyclicity in a realization.
+
+    The Sylow climb scans the whole group, so |G| must be within max_order.
+    """
     expected = simple_group_order(case)
     if G.order() != expected:
         raise RealizationMismatch(
             f"|G| = {G.order()} but the {case.series}_{case.n}({case.q}) order is {expected}")
     record = cyclic_sylow_criterion(case)
+    _check_order(G, max_order)
     S = sylow_subgroup(G, case.p)
     record["sylow_order"] = S.order
     record["sylow_cyclic"] = is_cyclic(S)

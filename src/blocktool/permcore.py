@@ -7,16 +7,28 @@ centralizers, normalizers and subgroup conjugacy fall back to exact
 element-list searches guarded by a configurable order bound. Correctness
 over asymptotics, desk scale.
 
+The whole-group loops (chain, sifting, enumeration, class orbits, the
+centralizer, normalizer and core scans, coset keys) run on raw image tuples,
+composed in C: x * g (x first) is itemgetter(*x)(g), and x^g = g^-1 x g.
+Permutation objects are built only for results: each element of elements()
+once, and class members, class representatives and the `_class_of` keys
+reuse those objects and their image tuples. Element inverses come from one
+table per group, aligned with elements().
+
 A group and all subgroups built inside it share one registry, one PermGroup
 per sorted generator tuple: SubgroupHandles with equal generators share one
 chain, element list, class list and table while the ambient group lives.
 It is keyed by generators, not element sets, so no generators ever change.
+A newly registered group whose order equals its ambient group's has the
+same elements, so it takes the ambient's element list, element set,
+inverses and classes (not its table) instead of enumerating them again.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import lcm
+from operator import attrgetter, itemgetter
 
 from .arith import v_p
 from .errors import GroupTooLarge, InternalInconsistency, NotAMember, NotASubgroup
@@ -26,6 +38,17 @@ DEFAULT_MAX_ORDER = 200_000
 
 #: Absolute cap for element enumeration regardless of caller overrides.
 _HARD_ELEMENT_CAP = 5_000_000
+
+
+_images = attrgetter("images")
+
+
+def _inverse(images: tuple) -> tuple:
+    """Inverse of an image tuple: position j holds the i with images[i] == j."""
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
 
 
 class Permutation:
@@ -83,10 +106,7 @@ class Permutation:
         return Permutation._unsafe(tuple(o[i] for i in self.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._unsafe(tuple(inv))
+        return Permutation._unsafe(_inverse(self.images))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -130,7 +150,7 @@ class Permutation:
         return tuple(sorted(lengths, reverse=True))
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*(len(c) for c in self.cycles()))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -169,6 +189,7 @@ class PermGroup:
         self._order = None
         self._elements = None
         self._element_set = None
+        self._inverses = None  # image tuples aligned with _elements
         self._classes = None
         self._class_of = None
         self._class_members = None
@@ -182,36 +203,33 @@ class PermGroup:
     # -- stabilizer chain -------------------------------------------------
 
     def _build_chain(self):
-        """Deterministic Schreier-Sims; levels are (base point, transversal, gens)."""
+        """Deterministic Schreier-Sims on image tuples.
+
+        Levels are (base point, {orbit point: inverse of its transversal element}).
+        """
         levels = []
-
-        def extend(level_gens, depth):
-            if not level_gens:
-                return
-            base = min(min(i for i, j in enumerate(g.images) if i != j) for g in level_gens)
-            orbit = {base: Permutation.identity(self.degree)}
+        identity = tuple(range(self.degree))
+        gens = [g.images for g in self.generators]
+        while gens:
+            base = min(min(i for i, j in enumerate(g) if i != j) for g in gens)
+            transversal = {base: identity}
             queue = [base]
-            while queue:
-                pt = queue.pop(0)
-                for g in level_gens:
-                    img = g(pt)
-                    if img not in orbit:
-                        orbit[img] = orbit[pt] * g
-                        queue.append(img)
-            levels.append((base, orbit, list(level_gens)))
-            # Schreier generators for the stabilizer of `base`
-            stab_gens = []
-            stab_seen = set()
-            for pt in sorted(orbit):
-                for g in level_gens:
-                    s = orbit[pt] * g * orbit[g(pt)].inverse()
-                    if not s.is_identity() and s.images not in stab_seen:
-                        stab_seen.add(s.images)
+            for pt in queue:  # breadth first: queue grows while it is read
+                for g in gens:
+                    if g[pt] not in transversal:
+                        transversal[g[pt]] = itemgetter(*transversal[pt])(g)
+                        queue.append(g[pt])
+            inverted = {pt: _inverse(u) for pt, u in transversal.items()}
+            levels.append((base, inverted))
+            # Schreier generators u_pt * g * u_{g(pt)}^-1 of the stabilizer of `base`
+            stab_gens, stab_seen = [], set()
+            for pt in sorted(transversal):
+                for g in gens:
+                    s = itemgetter(*itemgetter(*transversal[pt])(g))(inverted[g[pt]])
+                    if s != identity and s not in stab_seen:
+                        stab_seen.add(s)
                         stab_gens.append(s)
-            # sift against nothing (fresh level); recurse
-            extend(stab_gens, depth + 1)
-
-        extend(list(self.generators), 0)
+            gens = stab_gens  # sift against nothing (fresh level)
         self._chain = levels
 
     @property
@@ -223,20 +241,21 @@ class PermGroup:
     def order(self) -> int:
         if self._order is None:
             n = 1
-            for _base, orbit, _gens in self.chain:
-                n *= len(orbit)
+            for _base, inverted in self.chain:
+                n *= len(inverted)
             self._order = n
         return self._order
 
     def __contains__(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        for base, orbit, _gens in self.chain:
-            img = p(base)
-            if img not in orbit:
+        x = p.images
+        for base, inverted in self.chain:
+            u = inverted.get(x[base])
+            if u is None:
                 return False
-            p = p * orbit[img].inverse()
-        return p.is_identity()
+            x = itemgetter(*x)(u)
+        return x == tuple(range(self.degree))
 
     def is_trivial(self) -> bool:
         return self.order() == 1
@@ -248,20 +267,20 @@ class PermGroup:
         if self._elements is None:
             if self.order() > _HARD_ELEMENT_CAP:
                 raise GroupTooLarge(f"group of order {self.order()} too large to enumerate")
-            found = {Permutation.identity(self.degree).images}
-            queue = [Permutation.identity(self.degree)]
-            elements = [queue[0]]
-            while queue:
-                x = queue.pop(0)
-                for g in self.generators:
-                    y = x * g
-                    if y.images not in found:
-                        found.add(y.images)
-                        elements.append(y)
-                        queue.append(y)
-            if len(elements) != self.order():
+            found = [tuple(range(self.degree))]
+            seen = set(found)
+            gens = [g.images for g in self.generators]
+            for x in found:  # breadth first: found grows while it is read
+                times_x = itemgetter(*x)
+                for g in gens:
+                    y = times_x(g)
+                    if y not in seen:
+                        seen.add(y)
+                        found.append(y)
+            if len(found) != self.order():
                 raise InternalInconsistency("element enumeration disagrees with chain order")
-            self._elements = tuple(sorted(elements))
+            found.sort()  # tuple order is Permutation order
+            self._elements = tuple(map(Permutation._unsafe, found))
             self._element_set = frozenset(found)
         return self._elements
 
@@ -270,8 +289,23 @@ class PermGroup:
             self.elements()
         return self._element_set
 
+    def inverses(self) -> tuple[tuple, ...]:
+        """Image tuples of the inverses of elements(), in the same order.
+
+        The tuples are the elements' own, so the table adds no second copy.
+        """
+        if self._inverses is None:
+            own = {x.images: x.images for x in self.elements()}
+            self._inverses = tuple(own[_inverse(x.images)] for x in self._elements)
+        return self._inverses
+
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, gens={list(self.generators)!r})"
+
+
+#: What a group takes from an ambient group of equal order; never chain or table.
+_SHARED_WITH_AMBIENT = ("_elements", "_element_set", "_inverses", "_classes", "_class_of",
+                        "_class_members")
 
 
 class SubgroupHandle:
@@ -286,6 +320,9 @@ class SubgroupHandle:
             for g in self.group.generators:
                 if g not in ambient:
                     raise NotASubgroup(f"generator {g!r} lies outside the ambient group")
+        if self.group is group and group.order() == ambient.order():  # same elements
+            for name in _SHARED_WITH_AMBIENT:
+                setattr(group, name, getattr(ambient, name))
         if self.order and self.ambient.order() % self.order != 0:
             raise InternalInconsistency("Lagrange check failed")
 
@@ -329,12 +366,11 @@ def subgroup_from_elements(G: PermGroup, elements) -> SubgroupHandle:
     stops as soon as the generated group has that many elements: every
     later element already lies in it and would add no generator.
     """
-    elements = sorted(elements)
+    elements = sorted((Permutation(x) if isinstance(x, tuple) else x for x in elements),
+                      key=_images)
     gens: list[Permutation] = []
     H = PermGroup(G.degree, [])
     for x in elements:
-        if isinstance(x, tuple):
-            x = Permutation(x)
         if x.is_identity() or x in H:
             continue
         gens.append(x)
@@ -383,42 +419,39 @@ def conjugacy_classes(G: PermGroup, max_order=None) -> tuple[ConjugacyClass, ...
         return G._classes
     _check_order(G, max_order)
     els = G.elements()
-    assigned: dict[tuple, int] = {}
-    raw_classes: list[list[Permutation]] = []
-    gens = G.generators
+    gens = [(g.images, itemgetter(*_inverse(g.images))) for g in G.generators]
+    # orbit number per element, keyed by the elements' own image tuples; the
+    # first element of an orbit in canonical order is its lex-least member
+    class_of = dict.fromkeys(x.images for x in els)
+    found = []
     for x in els:
-        if x.images in assigned:
+        if class_of[x.images] is not None:
             continue
-        members = [x]
-        assigned[x.images] = len(raw_classes)
-        queue = [x]
-        while queue:
-            y = queue.pop(0)
-            for g in gens:
-                z = y.conjugated_by(g)
-                if z.images not in assigned:
-                    assigned[z.images] = len(raw_classes)
-                    members.append(z)
-                    queue.append(z)
-        raw_classes.append(members)
-    keyed = []
-    for members in raw_classes:
-        rep = min(members)
-        keyed.append((rep.order(), len(members), rep.images, members, rep))
-    keyed.sort(key=lambda t: (t[0], t[1], t[2]))
-    classes = []
-    class_of = {}
-    members_by_index = []
-    for idx, (order, size, _img, members, rep) in enumerate(keyed):
-        classes.append(ConjugacyClass(rep, size, order, idx))
-        members_by_index.append(tuple(sorted(members)))
-        for m in members:
-            class_of[m.images] = idx
+        class_of[x.images] = len(found)
+        orbit = [x.images]
+        for y in orbit:  # breadth first: orbit grows while it is read
+            times_y = itemgetter(*y)
+            for g, ginv_times in gens:
+                z = ginv_times(times_y(g))  # y^g = g^-1 y g
+                if class_of[z] is None:
+                    class_of[z] = len(found)
+                    orbit.append(z)
+        found.append((x.order(), len(orbit), x.images, x))
+    ranked = sorted(range(len(found)), key=lambda c: found[c][:3])
+    index = [0] * len(found)
+    for idx, c in enumerate(ranked):
+        index[c] = idx
+    classes = tuple(ConjugacyClass(found[c][3], found[c][1], found[c][0], idx)
+                    for idx, c in enumerate(ranked))
+    members = [[] for _ in classes]
+    for x in els:  # canonical order, so every member list comes out sorted
+        class_of[x.images] = idx = index[class_of[x.images]]
+        members[idx].append(x)
     if sum(c.size for c in classes) != G.order():
         raise InternalInconsistency("class sizes do not sum to |G|")
-    G._classes = tuple(classes)
+    G._classes = classes
     G._class_of = class_of
-    G._class_members = members_by_index
+    G._class_members = [tuple(m) for m in members]
     return G._classes
 
 
@@ -443,17 +476,15 @@ def centralizer(G: PermGroup, x: Permutation) -> SubgroupHandle:
     """Exact centralizer of an element, by direct search."""
     if x not in G:
         raise NotAMember(f"{x!r} is not in the group")
-    members = [g for g in G.elements() if g * x == x * g]
-    return subgroup_from_elements(G, members)
+    return subgroup_from_elements(G, list(_conjugators(G, [(x, {x.images})])))
 
 
 def centralizer_subgroup(G: PermGroup, Q: SubgroupHandle) -> SubgroupHandle:
     """Pointwise centralizer of a subgroup."""
-    gens = Q.generators
-    if not gens:
+    if not Q.generators:
         return full_subgroup(G)
-    members = [g for g in G.elements() if all(g * s == s * g for s in gens)]
-    return subgroup_from_elements(G, members)
+    tests = [(s, {s.images}) for s in Q.generators]
+    return subgroup_from_elements(G, list(_conjugators(G, tests)))
 
 
 def normalizer(G: PermGroup, Q: SubgroupHandle) -> SubgroupHandle:
@@ -461,14 +492,22 @@ def normalizer(G: PermGroup, Q: SubgroupHandle) -> SubgroupHandle:
     for g in Q.generators:
         if g not in G:
             raise NotASubgroup("subgroup does not lie in the ambient group")
-    return subgroup_from_elements(G, list(_conjugators(G, Q.generators, Q.element_set())))
+    target = Q.element_set()
+    return subgroup_from_elements(G, list(_conjugators(G, [(s, target) for s in Q.generators])))
 
 
-def _conjugators(G: PermGroup, gens, target: frozenset):
-    """The g in G, in canonical order, with s^g in target for every s in gens."""
-    for g in G.elements():
-        ginv = g.inverse()
-        if all((ginv * s * g).images in target for s in gens):
+def _conjugators(G: PermGroup, tests):
+    """The g in G, in canonical order, with s^g in target for every (s, target) in tests."""
+    if G.degree < 2:  # the identity alone; a 1-item itemgetter gives a point, not a tuple
+        yield from (g for g in G.elements() if all(s.images in t for s, t in tests))
+        return
+    tests = [(itemgetter(*s.images), target) for s, target in tests]
+    for g, ginv in zip(G.elements(), G.inverses()):
+        ginv_times = itemgetter(*ginv)
+        for s_times, target in tests:
+            if ginv_times(s_times(g.images)) not in target:
+                break
+        else:
             yield g
 
 
@@ -506,9 +545,11 @@ def p_core(H: SubgroupHandle, p: int) -> SubgroupHandle:
     if S.order == 1:
         return SubgroupHandle(H.ambient, [], check=False)
     sset = S.element_set()
+    conj = [(g.images, itemgetter(*ginv)) for g, ginv in zip(Hg.elements(), Hg.inverses())]
     members = []
-    for x in S.elements():
-        if all((g.inverse() * x * g).images in sset for g in Hg.elements()):
+    for x in S.elements():  # S is nontrivial, so the degree is at least 2
+        x_times = itemgetter(*x.images)
+        if all(ginv_times(x_times(g)) in sset for g, ginv_times in conj):
             members.append(x)
     return subgroup_from_elements(H.ambient, members)
 
@@ -535,7 +576,8 @@ def conjugating_element(G: PermGroup, A: SubgroupHandle, B: SubgroupHandle):
         return None
     if not A.generators:
         return Permutation.identity(G.degree)
-    return next(_conjugators(G, A.generators, B.element_set()), None)
+    target = B.element_set()
+    return next(_conjugators(G, [(s, target) for s in A.generators]), None)
 
 
 def are_conjugate_subgroups(G: PermGroup, A: SubgroupHandle, B: SubgroupHandle) -> bool:
@@ -610,7 +652,7 @@ class CosetAction:
     def __init__(self, group: PermGroup, subgroup: SubgroupHandle):
         self.group = group
         self.subgroup = subgroup
-        self._hels = subgroup.elements()
+        self._hels = [h.images for h in subgroup.elements()]
         identity = Permutation.identity(group.degree)
         reps = [identity]
         self._coset_index = {self._coset_key(identity): 0}
@@ -625,13 +667,16 @@ class CosetAction:
         self.image = PermGroup(len(reps), [self.project(g) for g in group.generators])
         # kernel = core_G(H) = elements of H all of whose conjugates by coset reps stay in H
         hset = subgroup.element_set()
-        self.kernel = subgroup_from_elements(
-            group, [x for x in self._hels if all((r * x * r.inverse()).images in hset for r in reps)])
+        conj = [(_inverse(r.images).__getitem__, r.images) for r in reps]  # x -> r x r^-1
+        self.kernel = subgroup_from_elements(group, [
+            x for x in subgroup.elements()
+            if all(tuple(map(rinv, map(x.images.__getitem__, r))) in hset for rinv, r in conj)])
         if self.image.order() * self.kernel.order != group.order():
             raise InternalInconsistency("coset action order check failed")
 
     def _coset_key(self, x: Permutation) -> tuple:
-        return min((h * x).images for h in self._hels)
+        xi = x.images.__getitem__
+        return min(tuple(map(xi, h)) for h in self._hels)
 
     def coset_index(self, x: Permutation) -> int:
         return self._coset_index[self._coset_key(x)]

@@ -364,3 +364,36 @@ def test_cache_with_swapped_rows_is_rejected_and_replaced(tmp_path):
     assert table_to_obj(cached_character_table(fresh, tmp_path)) == computed
     assert json.loads(path.read_text()) == computed
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left
+
+
+def test_warm_cache_read_keeps_the_order_bound(capsys, tmp_path):
+    # a warm read enumerates the classes too, so --max-order must bound it as a cold call does
+    cache = str(tmp_path / "cache")
+    code, _out, err = run(capsys, "table", str(group_path("a5")), "--cache", cache,
+                          "--max-order", "10")
+    assert code == 2 and json.loads(err)["error"] == "group-too-large"
+    code, _out, _err = run(capsys, "table", str(group_path("a5")), "--cache", cache)
+    assert code == 0
+    code, _out, err = run(capsys, "table", str(group_path("a5")), "--cache", cache,
+                          "--max-order", "10")
+    assert code == 2 and json.loads(err)["error"] == "group-too-large"
+    assert len(list((tmp_path / "cache").glob("table-*.json"))) == 1  # the cache file stays
+
+
+def test_lietype_realization_keeps_the_order_bound(capsys):
+    argv = ["lietype", "--series", "A", "--n", "2", "--q", "2", "--p", "7",
+            "--realization", str(group_path("psl32_deg7"))]
+    code, out, _err = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["sylow_order"] == 7
+    code, out, err = run(capsys, *argv, "--max-order", "10")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "group-too-large"
+
+
+def test_lietype_huge_prime_finishes():
+    # the order of q mod p used to be found by stepping through up to p - 1 powers
+    code, out, err = run_subprocess("lietype", "--series", "A", "--n", "2", "--q", "2",
+                                    "--p", "1000000000000000003")
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["d"] == 1000000000000000002 and record["criterion"] is False
